@@ -31,6 +31,8 @@ every result field across all three models — and the acceptance bars are:
 
 Writes ``BENCH_engine.json`` at the repo root (override with ``--out``),
 including both variants' instr/sec so the speedup ratio is tracked over time.
+The ``generate_trace`` rate for the matrix trace is reported next to the
+kernel rates (``trace_gen_instr_per_sec``); it is informational, not gated.
 
 Usage::
 
@@ -403,6 +405,9 @@ def main(argv=None) -> int:
 
     store_path = os.path.join(repo_root, ".benchmarks", "bench_sweep_store.jsonl")
     print(f"kernel throughput via sweep runner (median of {args.repeats}):")
+    (gen_s,), _ = time_variants(
+        [lambda: generate_trace(args.mix, args.n, seed=args.seed)], args.repeats)
+    print(f"  gen  {args.mix}: generate_trace {args.n / gen_s / 1e3:7.0f} kinstr/s")
     matrix, sweep_meta, worst_spec = bench_matrix(trace, args, store_path)
     print(f"  sweep store: {sweep_meta['cache_hits']}/{sweep_meta['n_points']} "
           f"cache hits ({store_path})")
@@ -425,6 +430,7 @@ def main(argv=None) -> int:
             "smoke": args.smoke,
             "python": sys.version.split()[0],
         },
+        "trace_gen_instr_per_sec": round(args.n / gen_s),
         "matrix": matrix,
         "sweep": sweep_meta,
         "batch_sweep": {

@@ -21,7 +21,9 @@ at generation time (the workload generator draws them from configured rates):
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.errors import TraceError
 from repro.common.types import DEST_REGCLASS_FOR_CLASS, InstrClass
@@ -31,6 +33,44 @@ FLAG_L1_MISS = 2
 FLAG_L2_MISS = 4
 
 _N_CLASSES = len(InstrClass)
+
+# Per-InstrClass lookup tables for the vectorized validity screen.
+_WRITES_REG = np.array([DEST_REGCLASS_FOR_CLASS[k] is not None for k in InstrClass])
+_IS_BRANCH = np.array([k.is_branch for k in InstrClass])
+_IS_MEMORY = np.array([k.is_memory for k in InstrClass])
+
+
+def _view(col: array) -> np.ndarray:
+    """Zero-copy numpy view of one ``array`` column."""
+    return np.frombuffer(col, dtype=col.typecode)
+
+
+def _column(name: str, col_name: str, typecode: str, values) -> array:
+    """Build one column; numpy input is range-checked and copied as bytes.
+
+    A numpy array is cast to the column's dtype only after checking that
+    every value fits, so an out-of-range value raises :class:`TraceError`
+    instead of wrapping.  Any other sequence goes through ``array()``.
+    """
+    if not isinstance(values, np.ndarray):
+        return array(typecode, values)
+    dtype = np.dtype(typecode)
+    if values.ndim != 1 or values.dtype.kind not in "biu":
+        raise TraceError(
+            f"trace {name!r}: column {col_name} must be a 1-d integer array, "
+            f"got {values.ndim}-d {values.dtype}"
+        )
+    if values.size and values.dtype != dtype:
+        info = np.iinfo(dtype)
+        lo, hi = values.min(), values.max()
+        if lo < info.min or hi > info.max:
+            raise TraceError(
+                f"trace {name!r}: column {col_name} value "
+                f"{lo if lo < info.min else hi} does not fit {dtype}"
+            )
+    col = array(typecode)
+    col.frombytes(memoryview(np.ascontiguousarray(values, dtype=dtype)).cast("B"))
+    return col
 
 
 class Trace:
@@ -49,19 +89,19 @@ class Trace:
         validate: bool = True,
     ) -> None:
         self.name = name
-        self.opclass = array("b", opclass)
-        self.src1 = array("q", src1)
-        self.src2 = array("q", src2)
-        self.dst = array("q", dst)
-        self.flags = array("b", flags)
+        self.opclass = _column(name, "opclass", "b", opclass)
+        self.src1 = _column(name, "src1", "q", src1)
+        self.src2 = _column(name, "src2", "q", src2)
+        self.dst = _column(name, "dst", "q", dst)
+        self.flags = _column(name, "flags", "b", flags)
+        self._check_lengths()
         if validate:
             self.validate()
 
     def __len__(self) -> int:
         return len(self.opclass)
 
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`TraceError` on violation."""
+    def _check_lengths(self) -> None:
         n = len(self.opclass)
         for col_name in ("src1", "src2", "dst", "flags"):
             col = getattr(self, col_name)
@@ -70,35 +110,62 @@ class Trace:
                     f"trace {self.name!r}: column {col_name} has {len(col)} "
                     f"entries, expected {n}"
                 )
-        opclass, src1, src2, flags = self.opclass, self.src1, self.src2, self.flags
-        for i in range(n):
-            k = opclass[i]
-            if not 0 <= k < _N_CLASSES:
-                raise TraceError(f"trace {self.name!r}[{i}]: invalid opclass {k}")
-            for s in (src1[i], src2[i]):
-                if s >= i:
-                    raise TraceError(
-                        f"trace {self.name!r}[{i}]: source {s} does not precede "
-                        "its consumer (dependences must point backwards)"
-                    )
-                if s >= 0 and DEST_REGCLASS_FOR_CLASS[InstrClass(opclass[s])] is None:
-                    raise TraceError(
-                        f"trace {self.name!r}[{i}]: source {s} "
-                        f"({InstrClass(opclass[s]).name}) produces no register value"
-                    )
-            f = flags[i]
-            if f & FLAG_MISPREDICT and not InstrClass(k).is_branch:
+
+    def validate(self) -> None:
+        """Check structural invariants; raise :class:`TraceError` on violation.
+
+        The whole trace is screened with numpy masks; the first flagged
+        index is then re-checked by :meth:`_check_at`, which raises with
+        the message a front-to-back scan would have raised first.
+        """
+        self._check_lengths()
+        n = len(self.opclass)
+        op = _view(self.opclass)
+        fl = _view(self.flags)
+        idx = np.arange(n)
+        bad_op = (op < 0) | (op >= _N_CLASSES)
+        k = np.where(bad_op, 0, op)  # bad ops are flagged; index tables safely
+        bad = bad_op.copy()
+        for src in (_view(self.src1), _view(self.src2)):
+            bad |= src >= idx
+            earlier = (src >= 0) & (src < idx)
+            bad[earlier] |= ~_WRITES_REG[k[src[earlier]]]
+        bad |= ((fl & FLAG_MISPREDICT) != 0) & ~_IS_BRANCH[k]
+        bad |= ((fl & (FLAG_L1_MISS | FLAG_L2_MISS)) != 0) & ~_IS_MEMORY[k]
+        bad |= ((fl & FLAG_L2_MISS) != 0) & ((fl & FLAG_L1_MISS) == 0)
+        for i in np.flatnonzero(bad).tolist():
+            self._check_at(i)
+
+    def _check_at(self, i: int) -> None:
+        """The scalar invariant checks for instruction ``i``."""
+        opclass, flags = self.opclass, self.flags
+        k = opclass[i]
+        if not 0 <= k < _N_CLASSES:
+            raise TraceError(f"trace {self.name!r}[{i}]: invalid opclass {k}")
+        for s in (self.src1[i], self.src2[i]):
+            if s >= i:
                 raise TraceError(
-                    f"trace {self.name!r}[{i}]: mispredict flag on non-branch"
+                    f"trace {self.name!r}[{i}]: source {s} does not precede "
+                    "its consumer (dependences must point backwards)"
                 )
-            if f & (FLAG_L1_MISS | FLAG_L2_MISS) and not InstrClass(k).is_memory:
+            if s >= 0 and DEST_REGCLASS_FOR_CLASS[InstrClass(opclass[s])] is None:
                 raise TraceError(
-                    f"trace {self.name!r}[{i}]: cache-miss flag on non-memory op"
+                    f"trace {self.name!r}[{i}]: source {s} "
+                    f"({InstrClass(opclass[s]).name}) produces no register value"
                 )
-            if f & FLAG_L2_MISS and not f & FLAG_L1_MISS:
-                raise TraceError(
-                    f"trace {self.name!r}[{i}]: L2 miss without L1 miss"
-                )
+        f = flags[i]
+        if f & FLAG_MISPREDICT and not InstrClass(k).is_branch:
+            raise TraceError(
+                f"trace {self.name!r}[{i}]: mispredict flag on non-branch"
+            )
+        if f & (FLAG_L1_MISS | FLAG_L2_MISS) and not InstrClass(k).is_memory:
+            raise TraceError(
+                f"trace {self.name!r}[{i}]: cache-miss flag on non-memory op"
+            )
+        if f & FLAG_L2_MISS and not f & FLAG_L1_MISS:
+            raise TraceError(
+                f"trace {self.name!r}[{i}]: L2 miss without L1 miss"
+            )
 
     @classmethod
     def from_ops(
@@ -163,10 +230,7 @@ class Trace:
 
     def class_counts(self) -> List[int]:
         """Number of instructions per :class:`InstrClass` value."""
-        counts = [0] * _N_CLASSES
-        for k in self.opclass:
-            counts[k] += 1
-        return counts
+        return np.bincount(_view(self.opclass), minlength=_N_CLASSES).tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace({self.name!r}, {len(self)} instructions)"

@@ -17,8 +17,9 @@ about.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,10 +30,22 @@ from repro.engine.trace import (
     FLAG_L1_MISS,
     FLAG_L2_MISS,
     FLAG_MISPREDICT,
+    _IS_BRANCH,
+    _IS_MEMORY,
     Trace,
 )
 
 _N_CLASSES = len(InstrClass)
+
+# Per-InstrClass lookup tables, indexed by opclass.  Sources read the
+# register class of the datapath an op computes on; FP stores read the FP
+# value they write to memory.  -1 marks "writes no register".
+_SRC_REGCLASS = np.array(
+    [RegClass.FP if k.is_fp_compute or k is InstrClass.FP_STORE else RegClass.INT
+     for k in InstrClass], dtype=np.int64)
+_DST_REGCLASS = np.array(
+    [-1 if DEST_REGCLASS_FOR_CLASS[k] is None else DEST_REGCLASS_FOR_CLASS[k]
+     for k in InstrClass], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -196,9 +209,20 @@ def generate_trace(
     ``validate=False`` by default: the generator only emits structurally
     valid traces (covered by the test suite), and validation is an O(n)
     pass the benchmark harness should not pay for.
+
+    Every column is computed as a whole array.  A source at distance ``d``
+    reads the ``d``-th most recent earlier producer of its register class
+    (clamped to the oldest one): with ``prod`` the producer indices of that
+    class and ``before[i]`` the number of them strictly before ``i``, that
+    is ``prod[before[i] - min(d, before[i])]``.
     """
     if isinstance(mix, str):
         mix = get_mix(mix)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ConfigurationError(
+            f"trace length n must be an integer, got {type(n).__name__} {n!r}"
+        )
+    n = int(n)
     if n < 0:
         raise ConfigurationError(f"trace length must be non-negative, got {n}")
 
@@ -216,61 +240,30 @@ def generate_trace(
     l2_draw = rng.random(n) < mix.l2_miss_rate
     dst_regs = rng.integers(0, mix.n_arch_regs, size=n)
 
-    # Per-regclass streams of producer indices (grown append-only).
-    producers: List[List[int]] = [[], []]  # RegClass.INT, RegClass.FP
-    src_class_for = [0] * _N_CLASSES
-    dst_class_for = [-1] * _N_CLASSES
-    for klass in InstrClass:
-        src_class_for[klass] = int(RegClass.FP) if klass.is_fp_compute else int(RegClass.INT)
-        dst = DEST_REGCLASS_FOR_CLASS[klass]
-        dst_class_for[klass] = int(dst) if dst is not None else -1
-    # FP stores read the FP value they write to memory.
-    src_class_for[InstrClass.FP_STORE] = int(RegClass.FP)
+    src_class = _SRC_REGCLASS[opclass]
+    dst_class = _DST_REGCLASS[opclass]
+    reads = opclass != InstrClass.NOP
+    src1 = np.full(n, -1, dtype=np.int64)
+    src2 = np.full(n, -1, dtype=np.int64)
+    for regclass in RegClass:
+        is_producer = dst_class == regclass
+        producers = np.flatnonzero(is_producer)
+        before = np.cumsum(is_producer) - is_producer
+        reader = reads & (src_class == regclass) & (before > 0)
+        for want, dist, src in ((want_src1, dist1, src1),
+                                (want_src2, dist2, src2)):
+            sel = reader & want
+            pool = before[sel]
+            src[sel] = producers[pool - np.minimum(dist[sel], pool)]
 
-    src1: List[int] = [0] * n
-    src2: List[int] = [0] * n
-    dst: List[int] = [0] * n
-    flags: List[int] = [0] * n
+    miss = np.where(l2_draw, FLAG_L1_MISS | FLAG_L2_MISS, FLAG_L1_MISS)
+    flags = np.where(
+        _IS_BRANCH[opclass] & mispredict_draw, FLAG_MISPREDICT,
+        np.where(_IS_MEMORY[opclass] & l1_draw, miss, 0),
+    )
+    dst = np.where(dst_class >= 0, dst_regs, -1)
 
-    opclass_l = opclass.tolist()
-    want_src1_l = want_src1.tolist()
-    want_src2_l = want_src2.tolist()
-    dist1_l = dist1.tolist()
-    dist2_l = dist2.tolist()
-    mis_l = mispredict_draw.tolist()
-    l1_l = l1_draw.tolist()
-    l2_l = l2_draw.tolist()
-    dst_regs_l = dst_regs.tolist()
-
-    for i in range(n):
-        k = opclass_l[i]
-        klass = InstrClass(k)
-        pool = producers[src_class_for[k]]
-        n_pool = len(pool)
-        is_nop = klass is InstrClass.NOP
-        if n_pool and want_src1_l[i] and not is_nop:
-            src1[i] = pool[-min(dist1_l[i], n_pool)]
-        else:
-            src1[i] = -1
-        if n_pool and want_src2_l[i] and not is_nop:
-            src2[i] = pool[-min(dist2_l[i], n_pool)]
-        else:
-            src2[i] = -1
-        f = 0
-        if klass.is_branch and mis_l[i]:
-            f = FLAG_MISPREDICT
-        elif klass.is_memory and l1_l[i]:
-            f = FLAG_L1_MISS
-            if l2_l[i]:
-                f |= FLAG_L2_MISS
-        flags[i] = f
-        if dst_class_for[k] >= 0:
-            producers[dst_class_for[k]].append(i)
-            dst[i] = dst_regs_l[i]
-        else:
-            dst[i] = -1
-
-    return Trace(f"{mix.name}-{n}", opclass_l, src1, src2, dst, flags,
+    return Trace(f"{mix.name}-{n}", opclass, src1, src2, dst, flags,
                  validate=validate)
 
 

@@ -11,6 +11,7 @@ from repro.common.errors import TraceError
 from repro.common.types import InstrClass, Topology
 from repro.engine import (
     FLAG_L1_MISS,
+    FLAG_L2_MISS,
     FLAG_MISPREDICT,
     Pipeline,
     SoAWindow,
@@ -81,6 +82,129 @@ class TestTrace:
         assert len(win) == 10
         cols = win.columns()
         assert all(len(c) == 10 for c in cols)
+
+
+BRANCH = int(InstrClass.BRANCH)
+LOAD = int(InstrClass.LOAD)
+
+
+class TestTraceValidation:
+    """Each invariant's exact message, and the index the screen reports."""
+
+    @pytest.mark.parametrize("columns,message", [
+        (([0, 0, 0], [-1, 0], [-1, -1, -1], [1, 1, 1], [0, 0, 0]),
+         "trace 'bad': column src1 has 2 entries, expected 3"),
+        (([0, 0], [-1, -1], [-1, -1], [0, 0], [0]),
+         "trace 'bad': column flags has 1 entries, expected 2"),
+        (([0, 12], [-1, -1], [-1, -1], [0, 0], [0, 0]),
+         "trace 'bad'[1]: invalid opclass 12"),
+        (([0, -1], [-1, -1], [-1, -1], [0, 0], [0, 0]),
+         "trace 'bad'[1]: invalid opclass -1"),
+        (([0, 0], [-1, 1], [-1, -1], [0, 1], [0, 0]),
+         "trace 'bad'[1]: source 1 does not precede its consumer "
+         "(dependences must point backwards)"),
+        (([0, 0, 0], [-1, -1, -1], [-1, -1, 5], [0, 1, 2], [0, 0, 0]),
+         "trace 'bad'[2]: source 5 does not precede its consumer "
+         "(dependences must point backwards)"),
+        (([BRANCH, 0], [-1, -1], [-1, 0], [-1, 0], [0, 0]),
+         "trace 'bad'[1]: source 0 (BRANCH) produces no register value"),
+        (([0, 0], [-1, -1], [-1, -1], [0, 0], [0, FLAG_MISPREDICT]),
+         "trace 'bad'[1]: mispredict flag on non-branch"),
+        (([0, BRANCH], [-1, -1], [-1, -1], [0, -1], [0, FLAG_L2_MISS]),
+         "trace 'bad'[1]: cache-miss flag on non-memory op"),
+        (([LOAD], [-1], [-1], [0], [FLAG_L2_MISS]),
+         "trace 'bad'[0]: L2 miss without L1 miss"),
+    ])
+    def test_violation_message(self, columns, message):
+        with pytest.raises(TraceError) as excinfo:
+            Trace("bad", *columns)
+        assert str(excinfo.value) == message
+
+    def test_mismatched_lengths_never_reach_the_pipeline(self):
+        # Regression: with validate=False the short column used to run
+        # through the kernel without any error.
+        with pytest.raises(TraceError, match="expected 3"):
+            trace = Trace("bad", [0, 0, 0], [-1, 0], [-1, -1, -1], [1, 1, 1],
+                          [0, 0, 0], validate=False)
+            Pipeline(ProcessorConfig()).run_record(trace)
+
+    def test_first_offending_index_wins(self):
+        # Index 1 breaks the flag rule, index 3 the dependence rule.
+        t = Trace("bad", [0] * 5, [-1, -1, -1, 3, -1], [-1] * 5, [0] * 5,
+                  [0, FLAG_MISPREDICT, 0, 0, 0], validate=False)
+        with pytest.raises(TraceError, match=r"\[1\]: mispredict"):
+            t.validate()
+
+    def test_checks_at_one_index_keep_their_order(self):
+        # An invalid opclass is reported before a bad source at that index.
+        with pytest.raises(TraceError, match=r"\[0\]: invalid opclass 99"):
+            Trace("bad", [99], [0], [-1], [0], [FLAG_L2_MISS])
+
+    def test_screen_matches_front_to_back_scan(self):
+        """Corrupt random generated traces; the vectorized screen must
+        raise exactly what a scalar scan of every index raises first."""
+        import random
+
+        rng = random.Random(5)
+        for k in range(300):
+            t = generate_trace("memory_bound", rng.randint(1, 60), seed=k)
+            for _ in range(rng.randint(0, 3)):
+                col = getattr(t, rng.choice(("opclass", "src1", "src2", "flags")))
+                i = rng.randrange(len(t))
+                col[i] = rng.randint(-2, 12) if col.typecode == "b" \
+                    else rng.randint(-3, len(t) + 1)
+            expected = None
+            try:
+                for i in range(len(t)):
+                    t._check_at(i)
+            except TraceError as exc:
+                expected = str(exc)
+            if expected is None:
+                t.validate()
+            else:
+                with pytest.raises(TraceError) as excinfo:
+                    t.validate()
+                assert str(excinfo.value) == expected
+
+
+class TestTraceColumns:
+    def test_numpy_columns_match_list_columns(self):
+        import numpy as np
+
+        cols = ([0, LOAD, BRANCH], [-1, 0, 1], [-1, -1, 0], [3, 4, -1],
+                [0, FLAG_L1_MISS, FLAG_MISPREDICT])
+        from_lists = Trace("t", *cols)
+        from_arrays = Trace("t", *(np.array(c) for c in cols))
+        for name in ("opclass", "src1", "src2", "dst", "flags"):
+            a, b = getattr(from_lists, name), getattr(from_arrays, name)
+            assert (a.typecode, a.tobytes()) == (b.typecode, b.tobytes())
+
+    def test_out_of_range_numpy_value_raises_instead_of_wrapping(self):
+        import numpy as np
+
+        with pytest.raises(TraceError, match="column opclass value 300 does "
+                                             "not fit int8"):
+            Trace("t", np.array([300]), [-1], [-1], [0], [0])
+        with pytest.raises(TraceError, match="column src1 value"):
+            Trace("t", [0], np.array([2 ** 63], dtype=np.uint64), [-1], [0],
+                  [0])
+
+    def test_non_integer_numpy_column_rejected(self):
+        import numpy as np
+
+        with pytest.raises(TraceError, match="1-d integer array"):
+            Trace("t", [0], [-1], [-1], np.array([0.0]), [0])
+        with pytest.raises(TraceError, match="1-d integer array"):
+            Trace("t", [0], [-1], [-1], np.zeros((1, 1), dtype=np.int64), [0])
+
+    def test_class_counts(self):
+        t = generate_trace("branchy", 500, seed=4)
+        expected = [0] * len(InstrClass)
+        for k in t.opclass:
+            expected[k] += 1
+        assert t.class_counts() == expected
+        assert Trace("empty", [], [], [], [], []).class_counts() == \
+            [0] * len(InstrClass)
 
 
 class TestFuCoverage:
